@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz crash-test parallel-test chaos-test wal-crash-test executor-test planner-test serve-smoke loadgen loadgen-smoke bench bench-smoke bench-smoke-parallel bench-regression ci clean
+.PHONY: all build vet test test-cpus race fuzz crash-test parallel-test chaos-test wal-crash-test executor-test planner-test serve-smoke loadgen loadgen-smoke bench bench-smoke bench-smoke-parallel bench-regression ci clean
 
 all: build
 
@@ -13,6 +13,11 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Tier-1 tests at GOMAXPROCS 1, 2 and 4: the default Parallelism is one
+# worker per CPU, so core-count-dependent bugs fail here on any box.
+test-cpus:
+	$(GO) test -cpu 1,2,4 ./...
 
 race:
 	$(GO) test -race ./...
@@ -109,7 +114,7 @@ bench-smoke-parallel:
 bench-regression:
 	sh scripts/bench_regression.sh
 
-ci: vet build race fuzz crash-test parallel-test chaos-test wal-crash-test executor-test planner-test serve-smoke loadgen-smoke bench-smoke bench-smoke-parallel bench-regression
+ci: vet build test-cpus race fuzz crash-test parallel-test chaos-test wal-crash-test executor-test planner-test serve-smoke loadgen-smoke bench-smoke bench-smoke-parallel bench-regression
 
 clean:
 	$(GO) clean ./...

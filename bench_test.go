@@ -141,12 +141,13 @@ func BenchmarkShortestPath(b *testing.B) {
 // BenchmarkSolvePlan: the planner ablation on one fixed shortest-path
 // instance — identical engine, identical executor, only Limits.Plan
 // differs. The pair is what scripts/bench.sh records as the planner
-// ratio and scripts/bench_regression.sh gates on.
+// ratio and scripts/bench_regression.sh gates on; Parallelism is pinned
+// to 1 so the gate reads the same engine on any core count.
 func BenchmarkSolvePlan(b *testing.B) {
 	g := gen.Graph(gen.CycleGraph, 128, 512, 9, 128)
 	src := programs.ShortestPath + gen.GraphFacts(g)
 	for _, pl := range []core.Plan{core.PlanSyntactic, core.PlanCost} {
-		en := mustEngine(b, src, core.Options{Limits: core.Limits{Executor: core.ExecutorStream, Plan: pl}})
+		en := mustEngine(b, src, core.Options{Limits: core.Limits{Executor: core.ExecutorStream, Plan: pl, Parallelism: 1}})
 		b.Run(pl.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -168,15 +169,19 @@ func kindName(k gen.GraphKind) string {
 }
 
 // BenchmarkShortestPathDijkstra (E3 baseline): the all-pairs baseline on
-// the same graphs.
+// the same graph instances as BenchmarkShortestPath, named
+// <kind>/n=<n> so each engine row pairs with the baseline run on its
+// own input.
 func BenchmarkShortestPathDijkstra(b *testing.B) {
-	for _, n := range []int{32, 64, 128} {
-		g := gen.Graph(gen.CycleGraph, n, 4*n, 9, int64(n))
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				baseline.AllPairs(g)
-			}
-		})
+	for _, kind := range []gen.GraphKind{gen.LayeredDAG, gen.CycleGraph, gen.RandomGraph} {
+		for _, n := range []int{32, 64, 128} {
+			g := gen.Graph(kind, n, 4*n, 9, int64(n))
+			b.Run(fmt.Sprintf("%s/n=%d", kindName(kind), n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					baseline.AllPairs(g)
+				}
+			})
+		}
 	}
 }
 

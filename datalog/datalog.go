@@ -178,10 +178,10 @@ type Options struct {
 	// negative disables).
 	DivergenceStreak int
 	// Parallelism sets the evaluation worker-pool size: independent
-	// program components run concurrently and each round's rules are
-	// evaluated speculatively in parallel, with results merged so that
-	// models, traces and stats totals are byte-identical to sequential
-	// evaluation (see docs/ARCHITECTURE.md). 0 means one worker per
+	// program components run concurrently, each through the sequential
+	// fixpoint loop on a private view, so models, traces and stats
+	// totals are byte-identical to sequential evaluation (see
+	// docs/ARCHITECTURE.md). 0 means one worker per
 	// CPU (runtime.GOMAXPROCS); 1 selects exactly the sequential
 	// engine.
 	Parallelism int

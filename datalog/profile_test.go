@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -26,9 +27,17 @@ arc(c, d, 1).
 // TestProfileCounters pins EXPLAIN ANALYZE against a hand-checked
 // example: the non-recursive projection rule scans the 5-row arc
 // relation exactly once, so its single scan operator must report 5 rows
-// out, 5 probes, and a build side of 5 — the relation's size.
+// out, 5 probes, and a build side of 5 — the relation's size. The
+// counters describe the model's work, so they must hold at every
+// parallelism (0 is the default, one worker per CPU).
 func TestProfileCounters(t *testing.T) {
-	p, err := Load(profileSrc, Options{Executor: ExecutorStream, Profile: true})
+	for _, par := range []int{0, 1, 2, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) { testProfileCounters(t, par) })
+	}
+}
+
+func testProfileCounters(t *testing.T, par int) {
+	p, err := Load(profileSrc, Options{Executor: ExecutorStream, Profile: true, Parallelism: par})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/lattice"
 	"repro/internal/parser"
+	"repro/internal/programs"
 	"repro/internal/relation"
 	"repro/internal/val"
 )
@@ -90,5 +93,46 @@ func TestDefaultValueScanDoesNotAllocate(t *testing.T) {
 		}); avg != 0 {
 			t.Fatalf("default-value scan (stored=%v) allocates %.1f times per probe, want 0", stored, avg)
 		}
+	}
+}
+
+// The component scheduler runs each component through the same
+// sequential fixpoint loop as Parallelism 1, on a private view of the
+// database. On a program with a single recursive component it therefore
+// does the same work, and may only add the scheduler's fixed per-solve
+// and per-component cost (worker goroutines, the private view). This
+// pins that: evaluation at Parallelism 2 that buffers, copies or re-runs
+// rule passes shows up here as a ratio well above 1.
+func TestSchedulerAllocatesLikeSequential(t *testing.T) {
+	g := gen.Graph(gen.CycleGraph, 48, 4*48, 9, 48)
+	src := programs.ShortestPath + gen.GraphFacts(g)
+	measure := func(par int) (allocs, bytes float64) {
+		en := mustEngine(t, src, Options{Limits: Limits{Executor: ExecutorStream, Parallelism: par}})
+		solve := func() {
+			if _, _, err := en.Solve(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		solve() // warm the engine's per-plan scratch
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			solve()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	seqAllocs, seqBytes := measure(1)
+	parAllocs, parBytes := measure(2)
+	t.Logf("par=1: %.0f allocs, %.0f B; par=2: %.0f allocs, %.0f B", seqAllocs, seqBytes, parAllocs, parBytes)
+	const tol = 1.03
+	if parAllocs > tol*seqAllocs {
+		t.Errorf("Parallelism 2 allocates %.0f times per solve vs %.0f at Parallelism 1 (ratio %.3f > %.2f)",
+			parAllocs, seqAllocs, parAllocs/seqAllocs, tol)
+	}
+	if parBytes > tol*seqBytes {
+		t.Errorf("Parallelism 2 allocates %.0f B per solve vs %.0f B at Parallelism 1 (ratio %.3f > %.2f)",
+			parBytes, seqBytes, parBytes/seqBytes, tol)
 	}
 }

@@ -114,10 +114,9 @@ type Engine struct {
 	exe  Executor
 	plan Plan
 	// prof is the per-rule per-step operator-counter table, allocated at
-	// New when Options.Profile is set (nil otherwise). Counters are
-	// atomic because speculative parallel passes fold concurrently; they
-	// accumulate over the engine's lifetime — Profile snapshots, and
-	// Profile.Sub produces per-solve deltas.
+	// New when Options.Profile is set (nil otherwise). Counters accumulate
+	// over the engine's lifetime — Profile snapshots, and Profile.Sub
+	// produces per-solve deltas.
 	prof [][]exec.OpAccum
 	// trace holds the provenance of the most recent traced Solve.
 	trace map[string]*Derivation
@@ -298,6 +297,7 @@ func (en *Engine) fixpoint(ctx context.Context, db *relation.DB, lim Limits, bas
 	en.ensureStats(&stats)
 	g := newGuard(ctx, lim, &stats)
 	g.sink = en.sink
+	g.trace = &en.trace
 	if en.sink != nil {
 		start := time.Now()
 		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1})
@@ -416,8 +416,8 @@ func headTuple(p *plan, e *env) (args []val.T, cost lattice.Elem, err error) {
 }
 
 // headTupleInto is headTuple projecting into the plan's reusable head
-// buffer. Callers that retain args beyond the immediate insert (the
-// parallel scheduler's speculative buffers) must use headTuple instead.
+// buffer. Callers that retain args beyond the immediate insert must use
+// headTuple instead.
 func headTupleInto(p *plan, e *env) (args []val.T, cost lattice.Elem, err error) {
 	hs := &p.head
 	args = p.hbuf
@@ -481,7 +481,7 @@ func (en *Engine) solveNaive(g *guard, db *relation.DB, ci int, c *deps.Componen
 				if rel.InsertJoin(args, cost) {
 					stats.Derived++
 					if en.opts.Trace {
-						en.recordTrace(p, e, args)
+						g.recordTrace(p, e, args)
 					}
 					// Improvement relative to the previous round's
 					// interpretation (a plain re-derivation of a known
@@ -676,7 +676,7 @@ func (en *Engine) semiNaiveLoop(g *guard, db *relation.DB, ci int, ps []*plan, s
 				record(p.head.pred, row)
 			}
 			if en.opts.Trace {
-				en.recordTrace(p, e, row.Args)
+				g.recordTrace(p, e, row.Args)
 			}
 			if err := g.derived(p.head.pred, row.Args, row.Cost, rel.Info.HasCost, true); err != nil {
 				return err

@@ -70,10 +70,10 @@ type Limits struct {
 	// always checkpoint while Checkpoint is set).
 	CheckpointEvery int
 	// Parallelism sets the evaluation worker-pool size: independent
-	// components run concurrently, and within a recursive component the
-	// rules of one round are evaluated speculatively in parallel (see
-	// docs/ARCHITECTURE.md for the determinism contract — models, traces
-	// and stats totals are byte-identical to sequential evaluation).
+	// components run concurrently, each through the sequential fixpoint
+	// loop on a private view of the database (see docs/ARCHITECTURE.md
+	// for the determinism contract — models, traces and stats totals are
+	// byte-identical to sequential evaluation).
 	// 0 means runtime.GOMAXPROCS(0); 1 (or any value below 1) selects
 	// exactly the sequential engine.
 	Parallelism int
@@ -296,6 +296,16 @@ type guard struct {
 	ckpt      CheckpointFunc
 	ckptEvery int
 	sinceCkpt int
+	// roundCkpt, when non-nil, replaces the periodic round checkpoint of
+	// the interpretation the loop evaluates: a component-scheduler worker
+	// evaluates a private view and checkpoints a consistent cut of the
+	// whole solve instead (sched.cutCheckpoint).
+	roundCkpt func(db *relation.DB) error
+	// trace is the derivation-trace store the fixpoint records into when
+	// Options.Trace is set: the engine's map on the sequential paths, a
+	// worker-local map under the component scheduler (merged into the
+	// engine's when the component installs).
+	trace *map[string]*Derivation
 	// sink receives checkpoint/divergence/budget events (nil = none).
 	sink obs.Sink
 }
@@ -321,6 +331,9 @@ func newGuard(ctx context.Context, lim Limits, stats *Stats) *guard {
 func (g *guard) roundBoundary(db *relation.DB) error {
 	if err := faults.Check(faults.CoreRound); err != nil {
 		return g.fail(ErrInternal, err)
+	}
+	if g.roundCkpt != nil {
+		return g.roundCkpt(db)
 	}
 	return g.checkpoint(db, false)
 }

@@ -230,10 +230,9 @@ func (ev *evaluator) fir() int64 { return ev.firings }
 func (ev *evaluator) pr() int64  { return ev.probes }
 
 // streamRunner evaluates plans on their streaming pipelines, acquiring
-// a pooled machine per run so concurrent speculative passes never share
-// mutable state. When the engine profiles (prof non-nil, indexed by
-// plan index), each run's per-step counters fold into the shared
-// accumulators after the pass.
+// a pooled machine per run. When the engine profiles (prof non-nil,
+// indexed by plan index), each run's per-step counters fold into the
+// engine's accumulators after the pass.
 type streamRunner struct {
 	cfg     exec.Config
 	prof    [][]exec.OpAccum

@@ -9,7 +9,6 @@ import (
 	"repro/internal/lattice"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/val"
 )
 
 // SolveMore continues a previously computed model with additional EDB
@@ -74,6 +73,7 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 	}
 	g := newGuard(ctx, lim, &stats)
 	g.sink = en.sink
+	g.trace = &en.trace
 	if en.sink != nil {
 		start := time.Now()
 		en.sink.Event(obs.Event{Kind: obs.SolveBegin, Component: -1})
@@ -102,30 +102,6 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 		return nil, stats, err
 	}
 
-	// Parallelism > 1 swaps in the intra-round parallel loop. Components
-	// still run sequentially here — incremental seeds flow bottom-up
-	// through `changed`, a cross-component dependency the DAG scheduler
-	// does not model — and the merge phase replays in rule order, so the
-	// result stays byte-identical to the sequential path (including the
-	// classic local MaxFacts accounting, which is why no shared budget
-	// is involved).
-	var pc *parRun
-	if par := effectiveParallelism(lim); par > 1 {
-		pc = &parRun{
-			sem: make(chan struct{}, par-1),
-			store: func(k ast.PredKey, args []val.T, d *Derivation) {
-				if d == nil {
-					return
-				}
-				if en.trace == nil {
-					en.trace = map[string]*Derivation{}
-				}
-				en.trace[traceKey(k, args)] = d
-			},
-			roundBoundary: func(g *guard, dbv *relation.DB) error { return g.roundBoundary(dbv) },
-		}
-	}
-
 	db := prev.Clone()
 	changed := newDeltaSet()
 	for k := range addedPreds {
@@ -147,7 +123,9 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 
 	// Re-run each component bottom-up, seeded with everything that has
 	// changed so far; each component's own derivations join the seed for
-	// the components above it.
+	// the components above it. Components run one after another at any
+	// Parallelism: the seeds flow bottom-up through changed, a
+	// cross-component dependency the DAG scheduler does not model.
 	for ci, c := range en.comps {
 		ps := en.plans[ci]
 		if len(ps) == 0 {
@@ -189,9 +167,6 @@ func (en *Engine) SolveMoreFrom(ctx context.Context, prev *relation.DB, added *r
 		cerr := en.runComponent(g, func() error {
 			record := func(k ast.PredKey, row relation.Row) {
 				changed.add(k, row)
-			}
-			if pc != nil {
-				return en.parSemiNaiveLoop(pc, g, db, ci, ps, &stats, seed, record)
 			}
 			return en.semiNaiveLoop(g, db, ci, ps, &stats, seed, record)
 		})

@@ -10,9 +10,9 @@
 // the paper's rule "s(X,Y,C) :- C ?= min D : path(X,Z,Y,D)" runs).
 //
 // With Limits.Parallelism > 1 (the default resolves to one worker per
-// CPU) the fixpoint runs on the parallel scheduler in parallel.go —
-// independent components concurrently, rules within a round
-// speculatively — with results guaranteed byte-identical to the
+// CPU) the fixpoint runs on the component scheduler in parallel.go —
+// independent components concurrently, each through the same
+// sequential loop — with results guaranteed byte-identical to the
 // sequential engine; see docs/ARCHITECTURE.md.
 package core
 
@@ -48,10 +48,9 @@ type plan struct {
 	cdbScanSteps []int
 	hasCDBAgg    bool
 	// reads is every predicate this plan consults at evaluation time
-	// (positive scans, negated literals, aggregate conjuncts). The
-	// parallel merge phase uses it for conflict detection: a rule whose
-	// reads intersect the predicates already improved this round cannot
-	// replay its speculative buffer and re-runs sequentially instead.
+	// (positive scans, negated literals, aggregate conjuncts). The cost
+	// planner uses it to gather statistics and to detect self-reading
+	// rules.
 	reads map[ast.PredKey]bool
 	// stream is the plan lowered to the streaming executor (exec_compile.go),
 	// always compiled so Limits.Executor can switch per solve; hbuf is the

@@ -71,13 +71,10 @@ type RuleProfile struct {
 
 // Profile is the operator-level evaluation profile of one engine.
 //
-// Counter semantics: the operator counters measure work PERFORMED by
-// the streaming executor, cumulatively over the engine's lifetime.
-// Under the parallel scheduler this includes speculative passes whose
-// buffers were discarded and re-run, so operator totals are not
-// byte-identical across parallelism levels the way Stats is — they
-// answer "where did the time and the tuples go", not "what did the
-// model require".
+// Counter semantics: the operator counters measure work performed by
+// the streaming executor, cumulatively over the engine's lifetime. Every
+// component runs the same sequential loop at any parallelism, so the
+// counters are identical across parallelism levels, like Stats.
 type Profile struct {
 	// Executor names the executor the counters came from ("stream";
 	// "tuple" profiles carry structure but zero counters). Plan names

@@ -31,9 +31,8 @@
 // Pipelines pull one row at a time through stack-allocated cursors and
 // write variable bindings into a preallocated register file, so steady
 // state evaluation performs no per-row heap allocation. Machines (the
-// mutable pipeline state) are pooled per compiled rule; acquiring one
-// per evaluation pass keeps the executor safe under the parallel
-// scheduler's speculative rule evaluation.
+// mutable pipeline state) are pooled per compiled rule and acquired
+// once per evaluation pass.
 //
 // The executor is behaviour-compatible with the tuple interpreter by
 // construction — same join order, same probe accounting, same
@@ -236,9 +235,9 @@ func (c *OpCounts) add(src OpCounts) {
 	}
 }
 
-// OpAccum is the engine-side shared accumulator for one step's
-// counters: machines from concurrent speculative passes fold into it,
-// so every field is atomic (Build via CAS-max).
+// OpAccum is the engine-side accumulator for one step's counters.
+// Every field is atomic (Build via CAS-max), so a profile snapshot may
+// be taken while a solve folds into it.
 type OpAccum struct {
 	In, Out, Probes, Delta, Groups atomic.Int64
 	Build                          atomic.Int64

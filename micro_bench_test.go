@@ -128,12 +128,13 @@ func BenchmarkGroupStratifiedCheck(b *testing.B) {
 // shortest-path program on a fixed cyclic graph, no sink attached. It
 // runs once per executor backend; the bench-regression smoke job
 // (scripts/bench_regression.sh) holds the streaming executor's allocs/op
-// to a fraction of the tuple interpreter's.
+// to a fraction of the tuple interpreter's. Parallelism is pinned to 1
+// so the gate's pinned allocs/op mean the same on any core count.
 func BenchmarkSolve(b *testing.B) {
 	g := gen.Graph(gen.CycleGraph, 96, 4*96, 9, 96)
 	src := programs.ShortestPath + gen.GraphFacts(g)
 	for _, exe := range []core.Executor{core.ExecutorTuple, core.ExecutorStream} {
-		en := mustEngine(b, src, core.Options{Limits: core.Limits{Executor: exe}})
+		en := mustEngine(b, src, core.Options{Limits: core.Limits{Executor: exe, Parallelism: 1}})
 		b.Run(exe.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -51,8 +51,9 @@ echo "bench: profiling one ShortestPath solve (mdl -profile-json)"
 
 # Parse `BenchmarkName-N  iters  ns/op  B/op  allocs/op` lines into JSON.
 # The engine_vs_baseline section pairs each engine benchmark with its
-# direct-algorithm baseline (Dijkstra for the shortest-path family, the
-# closed-form scan for party) and records the ns/op ratio per executor,
+# direct-algorithm baseline on the same input (Dijkstra on the same
+# graph kind and size for the shortest-path family, the closed-form
+# scan for party) and records the ns/op ratio per executor,
 # so the gap the streaming executor is chipping away at is tracked
 # across PRs in the same file as the raw numbers.
 awk -v host="$(uname -sm)" -v go="$(go env GOVERSION)" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gmp="$GMP" -v walfsync="$WAL_FSYNC" -v proffile="$PROF" '
@@ -103,11 +104,11 @@ END {
         name = names[i]; base = ""; fam = ""; exe = ""
         if (name ~ /^BenchmarkShortestPath\/[a-z]+\/n=[0-9]+$/) {
             split(name, a, "/")
-            base = "BenchmarkShortestPathDijkstra/" a[3]
+            base = "BenchmarkShortestPathDijkstra/" a[2] "/" a[3]
             fam = "shortestpath/" a[2] "/" a[3]; exe = "tuple"
         } else if (name ~ /^BenchmarkShortestPath\/[a-z]+\/n=[0-9]+\/stream$/) {
             split(name, a, "/")
-            base = "BenchmarkShortestPathDijkstra/" a[3]
+            base = "BenchmarkShortestPathDijkstra/" a[2] "/" a[3]
             fam = "shortestpath/" a[2] "/" a[3]; exe = "stream"
         } else if (name ~ /\/engine\//) {
             base = name; sub(/\/engine\//, "/direct/", base)
